@@ -227,6 +227,17 @@ def _parse_expert_parallel(text: str) -> Optional[int]:
     return degree
 
 
+def _parse_non_negative_int(text: str) -> int:
+    """``argparse`` converter for counts such as ``--top-k`` (0 allowed)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_objectives(text: str) -> List[str]:
     """Parse a comma/whitespace-separated ``--objectives`` list.
 
@@ -777,7 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="optimal-configuration search at one GPU count")
     _add_common_model_args(p)
     p.add_argument("--gpus", type=int, default=1024, help="number of GPUs")
-    p.add_argument("--top-k", type=int, default=1, help="also print the k best configurations")
+    p.add_argument(
+        "--top-k",
+        type=_parse_non_negative_int,
+        default=1,
+        help="also print the k best configurations",
+    )
     p.add_argument(
         "--explain-plan",
         action="store_true",
@@ -866,7 +882,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="TPOT service-level objective in seconds",
     )
-    p.add_argument("--top-k", type=int, default=1, help="also print the k best configurations")
+    p.add_argument(
+        "--top-k",
+        type=_parse_non_negative_int,
+        default=1,
+        help="also print the k best configurations",
+    )
     p.add_argument(
         "--explain-plan",
         action="store_true",

@@ -672,34 +672,34 @@ def batch_evaluate_enumeration(
 # Vectorized Pareto dominance
 # ----------------------------------------------------------------------
 
-def non_dominated_mask(vectors: np.ndarray, *, chunk: int = 512) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of ``vectors``.
+def non_dominated_mask(vectors: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of ``vectors`` that ``frontier`` does not dominate.
 
-    ``vectors`` is an ``(n, k)`` float64 matrix of canonical (minimised)
-    metric vectors.  Row ``i`` is *strictly dominated* when some row ``j``
-    is ``<=`` it in every component and ``<`` in at least one; the mask
-    keeps exactly the rows no other row strictly dominates.  Duplicate
-    vectors never dominate each other, so every copy of a non-dominated
-    vector survives — the tie semantics the Pareto search's deterministic
-    ``(vector, rank, assignment)`` ordering relies on.
+    ``vectors`` is an ``(n, k)`` and ``frontier`` an ``(a, k)`` float64
+    matrix of canonical (minimised) metric vectors.  Row ``i`` is *strictly
+    dominated* when some frontier row is ``<=`` it in every component and
+    ``<`` in at least one; the mask keeps exactly the rows no frontier row
+    strictly dominates.  Equal vectors never dominate each other, and an
+    empty ``frontier`` keeps every row.
 
-    The all-pairs comparison is evaluated as broadcast array programs over
-    ``chunk``-row blocks (O(n^2 k) work, O(chunk * n * k) memory), which is
-    the "vectorized dominance pass" the batch search mode uses to thin each
-    priced chunk before the frontier archive sees it.
+    Rows are *not* compared with each other: this is the batch Pareto
+    search's O(n * a) filter of a priced chunk against the incumbent
+    archive, whose inserts then settle dominance within the chunk.
     """
-    pts = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
+    pts = np.asarray(vectors, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"expected an (n, k) matrix, got shape {pts.shape}")
-    n = len(pts)
-    keep = np.ones(n, dtype=bool)
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]  # (b, k)
-        # dominated[b, n]: does row i of the block strictly dominate row j?
-        le = (block[:, None, :] <= pts[None, :, :]).all(axis=2)
-        lt = (block[:, None, :] < pts[None, :, :]).any(axis=2)
-        keep &= ~(le & lt).any(axis=0)
-    return keep
+    front = np.asarray(frontier, dtype=np.float64)
+    if front.size == 0:
+        return np.ones(len(pts), dtype=bool)
+    if front.ndim != 2 or front.shape[1] != pts.shape[1]:
+        raise ValueError(
+            f"expected an (a, {pts.shape[1]}) frontier, got shape {front.shape}"
+        )
+    # [a, n]: does frontier row j strictly dominate row i?
+    le = (front[:, None, :] <= pts[None, :, :]).all(axis=2)
+    lt = (front[:, None, :] < pts[None, :, :]).any(axis=2)
+    return ~(le & lt).any(axis=0)
 
 
 # ----------------------------------------------------------------------

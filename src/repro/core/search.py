@@ -949,6 +949,13 @@ class _FrontierArchive:
             Tuple[Tuple[float, ...], Tuple[int, int, int], ParallelConfig, GpuAssignment]
         ] = []
 
+    @property
+    def vectors(self):
+        """The archived vectors as an ``(a, k)`` float64 array."""
+        import numpy as np
+
+        return np.array([vec for vec, _, _, _ in self.entries], dtype=np.float64)
+
     def dominates_bound(self, bound: Sequence[float]) -> bool:
         """True when some archived vector strictly dominates ``bound``."""
         return any(_strictly_dominates(vec, bound) for vec, _, _, _ in self.entries)
@@ -1034,6 +1041,13 @@ def _pareto_single_strategy(
                 model, system, config, global_batch_size=global_batch_size, options=options
             )
             n_bounds += 1
+            # Admissible in exact arithmetic, but summed in another order
+            # than evaluate_config's total, so it can round an ulp above the
+            # time of a candidate with no exposed communication.  That lets
+            # an archived tie (the same candidate enumerated by another
+            # strategy) strictly dominate the bound and prune the tie away.
+            # A relative slack far above rounding error keeps it admissible.
+            time_bound *= 1.0 - 1e-12
             bound_vec = tuple(off + slope * time_bound for off, slope in coeffs)
         survivors.append((bound_vec, rank, config, coeffs))
     if prune:
@@ -1074,23 +1088,24 @@ def _pareto_single_strategy(
                 options=options,
             )
             n_eval += len(rows)
-            # Same float expression as the scalar loop below, applied to the
-            # bit-exact batch times: the vectors are identical in both modes.
-            vectors = [
-                tuple(off + slope * float(t) for off, slope in row[4])
-                for row, t in zip(rows, times)
-            ]
-            # Vectorized dominance pass: rows strictly dominated within the
-            # chunk can never reach the final frontier, so thinning them
-            # first is result-identical and saves archive insertions.
-            keep = batch_eval.non_dominated_mask(np.asarray(vectors, dtype=np.float64))
-            for (rank, config, assign_idx, assignment, _), vector, kept in zip(
-                rows, vectors, keep
-            ):
-                if kept:
-                    archive.insert(
-                        vector, (strategy_index, rank, assign_idx), config, assignment
-                    )
+            # coeffs[row, objective] = (offset, slope).  The same IEEE
+            # multiply-add as the scalar loop below, applied to the bit-exact
+            # batch times: the vectors are identical in both modes.
+            coeffs = np.array([row[4] for row in rows], dtype=np.float64)
+            vectors = coeffs[:, :, 0] + coeffs[:, :, 1] * times[:, None]
+            # Rows an archived point dominates can never reach the frontier;
+            # the archive's own inserts settle dominance within the chunk (an
+            # entry is only evicted by a newer one that dominates everything
+            # it filtered out).
+            keep = batch_eval.non_dominated_mask(vectors, archive.vectors)
+            for index in np.flatnonzero(keep).tolist():
+                rank, config, assign_idx, assignment, _ = rows[index]
+                archive.insert(
+                    tuple(vectors[index].tolist()),
+                    (strategy_index, rank, assign_idx),
+                    config,
+                    assignment,
+                )
     else:
         for bound_vec, rank, config, coeffs in survivors:
             if prune and archive.dominates_bound(bound_vec):
@@ -1181,11 +1196,13 @@ def find_pareto_configs(
     its fastest member matches :func:`find_optimal_config`'s winner.
 
     ``eval_mode="batch"`` prices survivors through the vectorized batch
-    pricer and thins each chunk with a vectorized dominance pass
-    (:func:`repro.core.batch_eval.non_dominated_mask`); the frontier is
-    bit-identical to scalar mode (the batch times are bit-exact, the metric
-    vectors use the same float arithmetic, and every frontier member is
-    re-priced through the scalar oracle).  Batch mode is analytic-only.
+    pricer in chunks and drops every row of a chunk that an archived point
+    strictly dominates with one vectorized test against the incumbent
+    frontier (:func:`repro.core.batch_eval.non_dominated_mask`) before
+    inserting the rest; the frontier is bit-identical to scalar mode (the
+    batch times are bit-exact, the metric vectors use the same float
+    arithmetic, and every frontier member is re-priced through the scalar
+    oracle).  Batch mode is analytic-only.
 
     ``warm_hints`` is accepted for interface compatibility with
     :func:`find_optimal_config` (sweep plumbing attaches hints uniformly)

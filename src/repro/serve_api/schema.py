@@ -101,6 +101,13 @@ def _get_positive_int(
     return value
 
 
+def _get_non_negative_int(payload: Mapping[str, Any], field: str, default: int) -> int:
+    value = _get(payload, field, int, default)
+    if value < 0:
+        raise ApiError(f"field {field!r} must be >= 0, got {value}")
+    return value
+
+
 def _get_choice(
     payload: Mapping[str, Any], field: str, choices: Sequence[str], default: Optional[str]
 ) -> Optional[str]:
@@ -188,7 +195,7 @@ def _common_task_fields(payload: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "backend": _get_choice(payload, "backend", available_backends(), "analytic"),
         "eval_mode": _get_choice(payload, "eval_mode", EVAL_MODES, DEFAULT_EVAL_MODE),
-        "top_k": _get(payload, "top_k", int, 0),
+        "top_k": _get_non_negative_int(payload, "top_k", 0),
     }
 
 

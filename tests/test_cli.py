@@ -37,6 +37,17 @@ class TestSearchCommand:
         assert rc == 0
         assert "config" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    @pytest.mark.parametrize("value", ["-5", "three"])
+    def test_bad_top_k_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--top-k", value])
+        assert exc.value.code == 2
+        assert "argument --top-k" in capsys.readouterr().err
+
+    def test_zero_top_k_is_accepted(self):
+        assert build_parser().parse_args(["search", "--top-k", "0"]).top_k == 0
+
     def test_json_dump(self, tmp_path, capsys):
         path = tmp_path / "result.json"
         rc = main(["search", "--model", "gpt3-1t", "--gpus", "256", "--json", str(path)])

@@ -10,8 +10,13 @@ to :func:`find_optimal_config`.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import batch_eval
+from repro.core.batch_eval import non_dominated_mask
 from repro.core.config_space import (
     DEFAULT_SEARCH_SPACE,
     gpu_assignments,
@@ -29,7 +34,9 @@ from repro.core.objectives import (
     resolve_objectives,
 )
 from repro.core.search import (
+    ALL_STRATEGIES,
     ParetoResult,
+    _FrontierArchive,
     _strictly_dominates,
     find_optimal_config,
     find_pareto_configs,
@@ -54,7 +61,7 @@ def _canonical(point, names):
     return tuple(get_objective(n).sign * point.metrics[n] for n in names)
 
 
-def exhaustive_frontier(model, system, names, *, strategy="tp1d"):
+def exhaustive_frontier(model, system, names, *, strategies=("tp1d",)):
     """Reference implementation: evaluate everything, filter dominated."""
     objs = resolve_objectives(names)
     ctx = ObjectiveContext(
@@ -62,7 +69,12 @@ def exhaustive_frontier(model, system, names, *, strategy="tp1d"):
         global_batch_size=GLOBAL_BATCH, options=DEFAULT_OPTIONS,
     )
     candidates = []
-    for config in parallel_configs(model, N_GPUS, GLOBAL_BATCH, strategy):
+    configs = (
+        config
+        for strategy in strategies
+        for config in parallel_configs(model, N_GPUS, GLOBAL_BATCH, strategy)
+    )
+    for config in configs:
         try:
             coeffs = [obj.coefficients(config, ctx) for obj in objs]
         except ValueError:
@@ -189,6 +201,48 @@ class TestParetoMatchesExhaustive:
         want_vectors = sorted(v for v, _, _ in reference)
         assert got_vectors == want_vectors
 
+    @pytest.mark.parametrize(
+        "strategy, strategies",
+        [("summa", ("summa",)), ("all", ALL_STRATEGIES)],
+        ids=["summa", "all"],
+    )
+    def test_batch_chunks_meet_a_nonempty_archive(
+        self, b200, strategy, strategies, monkeypatch
+    ):
+        """Several batch chunks, each filtered against the incumbent archive.
+
+        summa at 16 GPUs enumerates 405 parallelizations (more than one
+        chunk); ``"all"`` adds a second archive-sharing strategy.  Both
+        frontiers equal the exhaustive filter and the scalar frontier.
+        """
+        frontier_sizes = []
+
+        def spy(vectors, frontier):
+            frontier_sizes.append(len(frontier))
+            return non_dominated_mask(vectors, frontier)
+
+        monkeypatch.setattr(batch_eval, "non_dominated_mask", spy)
+        names = DEFAULT_PARETO_OBJECTIVES
+        kwargs = dict(
+            n_gpus=N_GPUS, global_batch_size=GLOBAL_BATCH,
+            objectives=names, strategy=strategy,
+        )
+        batch = find_pareto_configs(TINY_DENSE, b200, eval_mode="batch", **kwargs)
+        assert len(frontier_sizes) > 1 and max(frontier_sizes) > 0
+        scalar = find_pareto_configs(TINY_DENSE, b200, eval_mode="scalar", **kwargs)
+        assert batch == scalar
+        reference = exhaustive_frontier(TINY_DENSE, b200, names, strategies=strategies)
+        got = sorted(
+            (
+                _canonical(p, names),
+                p.estimate.config.as_tuple(),
+                p.estimate.assignment.as_tuple(),
+            )
+            for p in batch.points
+        )
+        want = sorted((v, c.as_tuple(), a.as_tuple()) for v, c, a in reference)
+        assert got == want
+
     def test_pruning_does_not_change_the_frontier(self, b200):
         kwargs = dict(
             n_gpus=N_GPUS, global_batch_size=GLOBAL_BATCH,
@@ -207,6 +261,55 @@ class TestParetoMatchesExhaustive:
             p.metrics for p in unpruned.points
         ]
         assert unpruned.statistics.pruned_configs == 0
+
+
+def _brute_force_mask(vectors, frontier):
+    return [
+        not any(_strictly_dominates(f, v) for f in frontier) for v in vectors
+    ]
+
+
+@st.composite
+def _vector_sets(draw):
+    """Rows and a frontier of ``k`` components from a tiny value alphabet,
+    so duplicate and tied rows are common."""
+    k = draw(st.integers(1, 4))
+    row = st.tuples(*[st.sampled_from((-1.0, 0.0, 0.5, 2.0))] * k)
+    return (
+        k,
+        draw(st.lists(row, max_size=12)),
+        draw(st.lists(row, max_size=6)),
+    )
+
+
+class TestNonDominatedMask:
+    @settings(max_examples=300, deadline=None)
+    @given(_vector_sets())
+    def test_matches_brute_force(self, drawn):
+        k, vectors, frontier = drawn
+        mask = non_dominated_mask(
+            np.array(vectors, dtype=np.float64).reshape(-1, k),
+            np.array(frontier, dtype=np.float64).reshape(-1, k),
+        )
+        assert mask.dtype == bool
+        assert mask.tolist() == _brute_force_mask(vectors, frontier)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_frontier_keeps_every_row(self, k):
+        vectors = np.arange(3.0 * k).reshape(3, k)
+        assert non_dominated_mask(vectors, np.empty((0, k))).all()
+        # An empty archive's vectors carry no column count.
+        assert non_dominated_mask(vectors, _FrontierArchive().vectors).all()
+
+    def test_equal_vectors_do_not_dominate(self):
+        vectors = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])
+        assert non_dominated_mask(vectors, vectors[:1]).tolist() == [True, True, False]
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="frontier"):
+            non_dominated_mask(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"\(n, k\)"):
+            non_dominated_mask(np.zeros(3), np.zeros((1, 3)))
 
 
 class TestScalarBatchIdentity:

@@ -6,6 +6,7 @@ deterministic), and the stdlib HTTP front-end end-to-end against the real
 engine.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -114,6 +115,7 @@ class TestSchema:
             ({"gpus": 8, "zero_stage": 7}, "must be 0..3"),
             ({"gpus": 8, "backend": "quantum"}, "field 'backend'"),
             ({"gpus": 8, "schedule": "bogus"}, "unknown schedule"),
+            ({"gpus": 8, "top_k": -5}, "field 'top_k' must be >= 0"),
         ],
     )
     def test_search_request_rejects(self, payload, fragment):
@@ -136,6 +138,8 @@ class TestSchema:
             schema.parse_serve_request({"objective": "latency"})
         with pytest.raises(ApiError, match="arrival_rate"):
             schema.parse_serve_request({"arrival_rate": -1.0})
+        with pytest.raises(ApiError, match="field 'top_k' must be >= 0"):
+            schema.parse_serve_request({"top_k": -1})
 
     def test_sweep_request_expands_and_dedupes(self):
         tasks = schema.parse_sweep_request({"gpus": [128, 256, 128], "global_batch": 512})
@@ -444,6 +448,33 @@ class TestHttpApi:
         assert status == 200 and warm["source"] == "cache"
         assert warm["summary"] == cold["summary"]  # byte-identical result
         assert app.status()["engine_solves"] == baseline + 1
+
+    def test_keep_alive_responses_do_not_stall(self, live_server):
+        """Cached responses on one reused connection come back promptly.
+
+        A response written as headers then body waits for the client's
+        delayed ACK (a kernel timer of at least 40 ms) on every request
+        after the first; written at once it takes a few milliseconds.
+        """
+        base, _ = live_server
+        host, port = base[len("http://"):].split(":")
+        body = json.dumps(self.SEARCH).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(host, int(port), timeout=120)
+        try:
+            connection.request("POST", "/v1/search", body, headers)
+            assert connection.getresponse().read()  # solve (or hit) once
+            for _ in range(10):
+                start = time.perf_counter()
+                connection.request("POST", "/v1/search", body, headers)
+                response = connection.getresponse()
+                raw = response.read()
+                elapsed = time.perf_counter() - start
+                assert response.status == 200
+                assert json.loads(raw)["source"] == "cache"
+                assert elapsed < 0.020, f"keep-alive response took {elapsed * 1e3:.1f} ms"
+        finally:
+            connection.close()
 
     def test_streaming_search(self, live_server):
         base, _ = live_server
