@@ -22,9 +22,10 @@ at least :data:`MIN_BATCH_SPEEDUP`x faster than the scalar search, and the
 warm-started sweep must evaluate at least
 :data:`MIN_WARM_CANDIDATE_RATIO`x fewer candidates (a deterministic count)
 and finish at least :data:`MIN_WARM_SPEEDUP`x faster than the same sweep
-run cold, all measured in the same run.  Those checks compare two
-measurements from the same machine and process, so they need no
-calibration and cannot be fooled by runner speed.
+run cold, all measured in the same run.  A planning-API cache hit must be
+at least :data:`MIN_HIT_SPEEDUP`x faster than the cold solve it replaces.
+Those checks compare two measurements from the same machine and process,
+so they need no calibration and cannot be fooled by runner speed.
 
 The guard is deliberately end-to-end — it exercises candidate enumeration,
 the cost-plan build/reduce, branch-and-bound pruning, the NumPy batch
@@ -52,6 +53,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from contextlib import redirect_stdout
@@ -114,6 +116,21 @@ PARETO_ARGV = [
     "pareto", "--model", "gpt3-1t", "--gpus", "4096", "--strategy", "all",
     "--eval-mode", "batch",
 ]
+
+
+#: The guarded cache hit: one ``POST /v1/pareto`` body answered in-process
+#: by :class:`repro.serve_api.PlannerApp`, first by a cold solve, then from
+#: the app's warm :class:`~repro.runtime.cache.SearchCache`.
+HIT_PAYLOAD = {"model": "gpt3-175b", "gpu": "B200", "nvs": 4, "gpus": 128, "strategy": "tp1d"}
+
+#: Cache hits timed; the guard compares their median with the cold solve.
+HIT_SAMPLES = 200
+
+#: Minimum ratio of the cold solve's wall-clock to the median cache hit's.
+#: A hit returns the stored live result, so it costs parsing, one
+#: fingerprint and rendering the body: ~70x faster than the ~25 ms solve
+#: here.  A hit that decodes its result tree again runs at ~1.1x.
+MIN_HIT_SPEEDUP = 20.0
 
 
 def calibrate(repeats: int = 3) -> float:
@@ -222,6 +239,34 @@ def time_pareto(repeats: int):
     return best, frontier_size
 
 
+def time_cache_hit(repeats: int, samples: int = HIT_SAMPLES):
+    """Best-of-``repeats`` cold solve and median cache hit of :data:`HIT_PAYLOAD`.
+
+    Every cold repeat uses a fresh app (empty cache) after clearing the
+    engine's memoization; the hits are then served by the last app.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.execution import clear_caches
+    from repro.serve_api import PlannerApp
+
+    PlannerApp(warm_start=False).pareto(HIT_PAYLOAD)  # imports, first-use set-up
+    cold = float("inf")
+    for _ in range(repeats):
+        app = PlannerApp(warm_start=False)
+        clear_caches()
+        start = time.perf_counter()
+        app.pareto(HIT_PAYLOAD)
+        cold = min(cold, time.perf_counter() - start)
+    hits = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        body = app.pareto(HIT_PAYLOAD)
+        hits.append(time.perf_counter() - start)
+        if body["source"] != "cache":
+            raise SystemExit(f"guarded request was not a cache hit: {body['source']!r}")
+    return cold, statistics.median(hits)
+
+
 def _write_baseline(
     path: Path, argv, measured: float, calibration: float, repeats: int, **extra
 ) -> None:
@@ -289,6 +334,7 @@ def main_guard(argv=None) -> int:
     cold_wall, cold_candidates = time_sweep(False, args.repeats)
     warm_wall, warm_candidates = time_sweep(True, args.repeats)
     pareto_wall, frontier_size = time_pareto(args.repeats)
+    cold_solve, cache_hit = time_cache_hit(args.repeats)
     calibration = calibrate()
 
     if (
@@ -382,6 +428,21 @@ def main_guard(argv=None) -> int:
             f"REGRESSION: warm-started sweep is only {warm_speedup:.2f}x faster "
             f"than cold ({cold_wall:.3f}s -> {warm_wall:.3f}s, "
             f"floor {MIN_WARM_SPEEDUP:.1f}x)"
+        )
+
+    hit_speedup = cold_solve / cache_hit if cache_hit > 0 else float("inf")
+    if hit_speedup >= MIN_HIT_SPEEDUP:
+        print(
+            f"OK: a cached pareto request is {hit_speedup:.0f}x faster than its "
+            f"cold solve ({1e3 * cold_solve:.2f} ms -> {1e3 * cache_hit:.3f} ms median "
+            f"of {HIT_SAMPLES}, floor {MIN_HIT_SPEEDUP:.0f}x)"
+        )
+    else:
+        ok = False
+        print(
+            f"REGRESSION: a cached pareto request is only {hit_speedup:.1f}x faster "
+            f"than its cold solve ({1e3 * cold_solve:.2f} ms -> {1e3 * cache_hit:.3f} ms "
+            f"median of {HIT_SAMPLES}, floor {MIN_HIT_SPEEDUP:.0f}x)"
         )
 
     if not ok:

@@ -11,19 +11,29 @@ fingerprinted by the SHA-256 of the canonical JSON of **all** of its inputs
 (model hyper-parameters, full system spec, GPU count, global batch,
 strategy, search-space knobs, modeling options, top-k), so any change to any
 input — even a single bandwidth number of a synthetic heatmap GPU — misses
-the cache instead of returning a stale result.  Entries are stored in their
-JSON form and rebuilt into :class:`~repro.core.search.SearchResult` trees on
-read, so a cache can be persisted to disk and shared across processes and
-sessions via :mod:`repro.utils.serialization`.
+the cache instead of returning a stale result.
+
+Entries live in memory as the solved result objects themselves, and a hit
+returns the stored object: a lookup is one fingerprint and one dictionary
+read, with no decoding.  Only :meth:`SearchCache.save` converts entries to
+JSON (via :mod:`repro.utils.serialization`), so a cache can be persisted to
+disk and shared across processes and sessions.  An entry loaded from disk
+stays in its JSON form until its first hit, which decodes it once and
+replaces it with the rebuilt result.  A hit hands every caller the same
+object, so cached results are read-only by contract.  The in-memory form is
+not part of the file format: :meth:`SearchCache.save` writes each entry as
+the JSON of its result whichever form it is held in, so the choice of form
+needs no :data:`CACHE_FORMAT_VERSION` bump.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import TRAINING_OBJECTIVE, SearchResult
@@ -65,6 +75,11 @@ from repro.utils.serialization import (
 #: hint order no longer depends on recording order at equal distance.
 CACHE_FORMAT_VERSION = 8
 
+try:  # POSIX advisory locks serialize cross-process saves (see save()).
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: saves stay best-effort
+    fcntl = None
+
 #: Winner records kept per reduced key; the oldest are evicted first.  A
 #: sweep along one axis revisits the same reduced key once per point, so a
 #: few dozen records cover every realistic neighborhood.
@@ -103,6 +118,28 @@ def reduced_fingerprint(task: "SearchTask") -> str:  # noqa: F821 (doc reference
     )
 
 
+@contextlib.contextmanager
+def _directory_lock(directory: Path):
+    """Hold an exclusive advisory lock on ``directory`` for the block.
+
+    Saves replace the cache file, so the file's own inode cannot carry a
+    lock, and a lock file beside it would be litter; the directory's inode
+    is stable.  Where the directory cannot be opened or ``fcntl`` is
+    missing, the block runs unlocked.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        fd = None
+    try:
+        if fd is not None and fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)  # also releases the lock
+
+
 class SearchCache:
     """In-memory, optionally JSON-persisted store of solved search points.
 
@@ -114,6 +151,14 @@ class SearchCache:
         current entries back.  A file written by an incompatible
         :data:`CACHE_FORMAT_VERSION` is silently treated as empty.
 
+    Each entry is held in one of two forms: the live result that
+    :meth:`put` stored, or the JSON dictionary a disk file held.  JSON
+    exists only on disk and in entries loaded from it that no one has asked
+    for yet; the first :meth:`get` of such an entry decodes it once and
+    keeps the rebuilt result in its place.  :meth:`get` returns the stored
+    object itself, shared by every caller that hits it — callers must treat
+    a cached result as read-only.
+
     A single instance is safe to share between threads (the long-running
     API server keeps one process-wide cache hot across concurrent
     requests): every lookup, store, counter update and the whole
@@ -124,7 +169,12 @@ class SearchCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path: Optional[Path] = Path(path) if path is not None else None
+        # Fingerprint -> live result, or its JSON dict while an entry read
+        # from disk has not been asked for yet (see get()).
         self._entries: Dict[str, Any] = {}
+        # Fingerprints of disk entries that failed to decode; save() must
+        # not merge them back in from the file.
+        self._evicted: Set[str] = set()
         # Structure-keyed hint index: reduced fingerprint -> list of winner
         # records ({n_gpus, global_batch_size, arrival_rate, config}).  Fed
         # by put(), consumed by warm_hints(), persisted alongside the exact
@@ -188,41 +238,50 @@ class SearchCache:
     # ------------------------------------------------------------------
     # Read/write
     # ------------------------------------------------------------------
-    def get(self, task):
+    def get(self, task, *, key: Optional[str] = None):
         """Return the cached result for ``task``, or ``None`` on a miss.
 
         Training tasks yield a :class:`~repro.core.search.SearchResult`,
         serving-objective tasks a
         :class:`~repro.core.inference.ServingSearchResult` (see
-        :meth:`_result_type`).
+        :meth:`_result_type`).  The returned object is the stored one, not
+        a copy: do not mutate it.  ``key`` is ``task``'s
+        :meth:`fingerprint` when the caller has already computed it.
         """
-        fp = self.fingerprint(task)
+        fp = self.fingerprint(task) if key is None else key
         with self._lock:
             entry = self._entries.get(fp)
-            if entry is not None:
+            if isinstance(entry, dict):
+                # Read from disk and not asked for until now: decode once.
                 try:
-                    result = dataclass_from_jsonable(self._result_type(task), entry)
+                    entry = dataclass_from_jsonable(self._result_type(task), entry)
                 except (TypeError, KeyError, ValueError, AttributeError):
                     # Hand-edited / schema-drifted / corrupted entry: drop it
                     # and recompute rather than aborting the whole sweep.
                     self._entries.pop(fp, None)
+                    self._evicted.add(fp)
+                    entry = None
                 else:
-                    self.hits += 1
-                    return result
-            self.misses += 1
-            return None
+                    self._entries[fp] = entry
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry
 
-    def put(self, task, result: SearchResult) -> None:
-        """Store ``result`` under ``task``'s fingerprint.
+    def put(self, task, result: SearchResult, *, key: Optional[str] = None) -> None:
+        """Store ``result`` under ``task``'s fingerprint (or ``key``).
 
-        The winner (when one exists) is additionally recorded in the
-        structure-keyed hint index, so later tasks of the same structure at
-        *different* points can warm-start from it (:meth:`warm_hints`).
+        The result is kept as is, not serialized; later hits return this
+        very object.  The winner (when one exists) is additionally recorded
+        in the structure-keyed hint index, so later tasks of the same
+        structure at *different* points can warm-start from it
+        (:meth:`warm_hints`).
         """
-        entry = to_jsonable(result)
+        fp = self.fingerprint(task) if key is None else key
+        record = self._hint_record(task, result)
         with self._lock:
-            self._entries[self.fingerprint(task)] = entry
-            record = self._hint_record(task, result)
+            self._entries[fp] = result
             if record is not None:
                 self._record_hint(reduced_fingerprint(task), record)
 
@@ -314,25 +373,34 @@ class SearchCache:
     def save(self, path: str | Path | None = None) -> Optional[Path]:
         """Persist all entries as JSON; returns the path written (if any).
 
-        The write is atomic (temp file + ``os.replace``), so an interrupted
-        save never truncates an existing cache, and the pid-suffixed temp
-        file is unlinked even when serialization fails mid-write (disk
-        full, unserializable entry), so aborted saves leave no litter.
-        Entries another process wrote to the same file are merged in on a
-        best-effort basis: the file is re-read at save time and our entries
-        overlaid (fingerprints are content hashes, so colliding entries are
-        equal).  *Within* this process the whole read-merge-replace runs
-        under the cache lock, so concurrent threads can never drop each
-        other's entries.  Across processes there is no file locking — a
-        process that saves between our re-read and our replace loses its
+        This is the only place live results are converted to JSON; they
+        stay live in memory afterwards.  The write is atomic (temp file +
+        ``os.replace``), so an interrupted save never truncates an existing
+        cache, and the pid-suffixed temp file is unlinked even when
+        serialization fails mid-write (disk full, unserializable entry), so
+        aborted saves leave no litter.  Entries another process wrote to
+        the same file are merged in: the file is re-read at save time and
+        our entries overlaid (fingerprints are content hashes, so colliding
+        entries are equal).  Entries that failed to decode on :meth:`get`
+        are not merged back in.  The whole read-merge-replace runs under
+        the cache lock, so concurrent threads can never drop each other's
+        entries, and under an advisory lock on the file's directory
+        (POSIX ``flock``), so concurrent saves from other processes cannot
+        either.  Without ``fcntl`` the cross-process merge is best-effort:
+        a process that saves between our re-read and our replace loses its
         entries for this snapshot, which only costs a re-solve later, never
         a stale result.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             return None
-        with self._lock:
-            merged = {**self._read_entries(target), **self._entries}
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with self._lock, _directory_lock(target.parent):
+            on_disk = self._read_entries(target)
+            merged = {
+                **{fp: e for fp, e in on_disk.items() if fp not in self._evicted},
+                **self._entries,
+            }
             merged_hints = self._read_hints(target)
             for key, bucket in self._hints.items():
                 for record in bucket:

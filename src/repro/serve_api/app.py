@@ -140,26 +140,31 @@ class PlannerApp:
 
         ``progress`` fires as ``progress(done, total)`` over the batch —
         cache hits immediately, solved/attached tasks as they complete.
+
+        Each task is fingerprinted exactly once; that key serves the cache
+        lookup, the in-flight table and the final :meth:`SearchCache.put`.
+        Cache hits are the cache's stored objects, shared with every other
+        requester: they are read-only.
         """
         tasks = list(tasks)
         total = len(tasks)
+        fingerprints = [SearchCache.fingerprint(task) for task in tasks]
         results: List[Any] = [None] * total
         sources: List[str] = ["cache"] * total
         owned: Dict[str, Future] = {}
         owned_order: List[str] = []
         owned_tasks: List[SearchTask] = []
-        attached: List[Tuple[int, Future]] = []
+        attached: List[Tuple[str, Future]] = []
         positions: Dict[str, List[int]] = {}
         done = 0
 
         with self._lock:
             self._counters["requests"] += 1
-            for idx, task in enumerate(tasks):
-                fp = SearchCache.fingerprint(task)
+            for idx, (task, fp) in enumerate(zip(tasks, fingerprints)):
                 if fp in positions:  # duplicate within this batch
                     positions[fp].append(idx)
                     continue
-                hit = self.cache.get(task)
+                hit = self.cache.get(task, key=fp)
                 if hit is not None:
                     results[idx] = hit
                     done += 1
@@ -168,7 +173,7 @@ class PlannerApp:
                 fut = self._inflight.get(fp)
                 if fut is not None:
                     self._counters["dedup_hits"] += 1
-                    attached.append((idx, fut))
+                    attached.append((fp, fut))
                 else:
                     fut = Future()
                     self._inflight[fp] = fut
@@ -204,7 +209,7 @@ class PlannerApp:
                     with self._lock:
                         self._counters["engine_solves"] += 1
                         if status == "ok":
-                            self.cache.put(task, value)
+                            self.cache.put(task, value, key=fp)
                             dirty = True
                             stats = getattr(value, "statistics", None)
                             self._counters["warm_start_hits"] += getattr(
@@ -244,14 +249,13 @@ class PlannerApp:
                 done += 1
                 if progress is not None:
                     progress(done, total)
-        for idx, fut in attached:
+        for fp, fut in attached:
             exc = fut.exception()  # waits for the owner
             if exc is not None:
                 raise exc if isinstance(exc, ApiError) else ApiError(str(exc), status=500)
-            for pos in positions[SearchCache.fingerprint(tasks[idx])]:
+            for pos in positions[fp]:
                 results[pos] = fut.result()
                 sources[pos] = "dedup"
-            for _ in positions[SearchCache.fingerprint(tasks[idx])]:
                 done += 1
                 if progress is not None:
                     progress(done, total)

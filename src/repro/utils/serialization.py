@@ -18,6 +18,7 @@ solved sweep points across processes and sessions:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import types
@@ -121,19 +122,32 @@ def _convert(annotation: Any, value: Any) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _type_hints(cls: type) -> dict:
+    """``typing.get_type_hints(cls)``, resolved once per class.
+
+    Resolving evaluates every (string) annotation of the class and its
+    bases, which costs far more than the decode itself; dataclass
+    annotations do not change after class creation, so one resolution per
+    class serves every later decode.  Callers must not mutate the result.
+    """
+    return typing.get_type_hints(cls)
+
+
 def dataclass_from_jsonable(cls: type, data: Any) -> Any:
     """Rebuild a dataclass instance from its :func:`to_jsonable` dictionary.
 
     Nested dataclasses, ``Optional``/``List``/``Tuple``/``Dict`` fields and
     plain JSON scalars are handled recursively, driven by the class's type
-    hints.  Fields absent from ``data`` fall back to the dataclass defaults.
-    Non-init fields are ignored (they are recomputed by ``__post_init__``).
+    hints (resolved once per class).  Fields absent from ``data`` fall back
+    to the dataclass defaults.  Non-init fields are ignored (they are
+    recomputed by ``__post_init__``).
     """
     if data is None:
         return None
     if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)):
         raise TypeError(f"{cls!r} is not a dataclass type")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if not f.init or f.name not in data:
