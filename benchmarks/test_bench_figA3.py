@@ -54,6 +54,7 @@ def test_figA3b_gpt_summa_nvs64(benchmark, save_report):
         strategy="summa",
         n_gpus_list=GRID,
         global_batch_size=GLOBAL_BATCH,
+        eval_mode="batch",
     )
     save_report("figA3b_gpt3_1t_summa_nvs64", render_scaling_sweep(sweep))
 

@@ -38,6 +38,7 @@ def test_figA4a_summa_speedup(benchmark, save_report):
         nvs_domain_sizes=NVS_SIZES,
         n_gpus_list=GRID,
         global_batch_size=GLOBAL_BATCH,
+        eval_mode="batch",
     )
     save_report("figA4a_summa_vs_tp1d", render_speedups(points))
 

@@ -15,7 +15,12 @@ same operations, same association order — so with the analytic backend the
 batch totals equal :attr:`IterationEstimate.total_time` bit for bit:
 
 * collectives: :func:`repro.core.collectives.collective_time` (latency +
-  ring-bandwidth closed forms of §III-A);
+  ring-bandwidth closed forms of §III-A).  A group's collectives are
+  priced as the rows of one stacked ``(R, C)`` program — R collectives by
+  C candidates: the TP comm ops and SUMMA panel broadcasts of both passes
+  in one call, the DP ReduceScatter/AllGather rows in another — and each
+  total is then summed row by row in op order, as the scalar loop adds
+  it up (never ``np.sum``, whose pairwise summation rounds differently);
 * plan assembly: :func:`repro.core.execution._assemble_plan` (per-layer
   roofline times x layers per stage, SUMMA prologue/spill-over, DP
   ReduceScatter/AllGather with overlap budgets);
@@ -47,12 +52,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.collectives import _BANDWIDTH_MULTIPLIER, POINT_TO_POINT
-from repro.core.config_space import (
-    SearchSpace,
-    count_configurations,
-    gpu_assignments,
-    parallel_configs,
-)
+from repro.core.config_space import SearchSpace
 from repro.core.execution import (
     ModelingOptions,
     DEFAULT_OPTIONS,
@@ -85,16 +85,13 @@ __all__ = [
     "DEFAULT_EVAL_MODE",
     "EVAL_MODES",
     "BatchBreakdown",
-    "CandidateRow",
     "IncumbentBoard",
     "batch_candidate_breakdowns",
     "batch_candidate_times",
-    "batch_evaluate_enumeration",
     "batch_serving_prefill_comm",
     "incumbent_board",
     "incumbent_scope_keys",
     "install_shared_slots",
-    "materialize_enumeration",
     "non_dominated_mask",
     "validate_eval_mode",
 ]
@@ -126,25 +123,23 @@ def _p2p_time_arr(volume_bytes, gpus_per_domain: np.ndarray, network: NetworkSpe
 
 
 def _collective_time_arr(
-    collective: str,
-    volume_bytes,
+    collectives: Sequence[str],
+    volume_bytes: np.ndarray,
     size: np.ndarray,
     gpus_per_domain: np.ndarray,
     network: NetworkSpec,
-):
-    """Elementwise :func:`~repro.core.collectives.collective_time`.
+) -> np.ndarray:
+    """Row-stacked :func:`~repro.core.collectives.collective_time`.
 
-    ``size``/``gpus_per_domain`` are aligned int64 arrays (one entry per
-    candidate); ``volume_bytes`` may be a scalar or an aligned array.  Every
+    Row ``r`` prices ``collectives[r]``; ``size``/``gpus_per_domain`` are
+    ``(R, C)`` int64 arrays (one column per candidate) and ``volume_bytes``
+    broadcasts against them (``(R, 1)`` for per-row volumes).  Every
     operation mirrors the scalar closed form in order and association, so
-    each lane is the bit-exact float64 result of the scalar call.
+    each entry is the bit-exact float64 result of the scalar call.
     """
-    zero = (size == 1) | (np.asarray(volume_bytes) <= 0)
-    if collective == POINT_TO_POINT:
-        return np.where(
-            zero, 0.0, _p2p_time_arr(volume_bytes, gpus_per_domain, network)
-        )
-    multiplier = _BANDWIDTH_MULTIPLIER[collective]
+    multiplier = np.array(
+        [1.0 if c == POINT_TO_POINT else _BANDWIDTH_MULTIPLIER[c] for c in collectives]
+    )[:, None]
     # latency_time: slow hops across domains plus fast hops inside them.
     num_domains = size // gpus_per_domain
     lat = network.ib_latency * (num_domains - 1) + network.nvs_latency * (
@@ -157,7 +152,23 @@ def _collective_time_arr(
     slow = volume_bytes / (nics * network.effective_ib_bandwidth)
     per_ring = np.where(size > gpus_per_domain, np.maximum(fast, slow), fast)
     ring = (size - 1) / size * per_ring
-    return np.where(zero, 0.0, lat + multiplier * ring)
+    out = lat + multiplier * ring
+    p2p = [r for r, c in enumerate(collectives) if c == POINT_TO_POINT]
+    if p2p:
+        out[p2p] = _p2p_time_arr(volume_bytes, gpus_per_domain, network)[p2p]
+    return np.where((size == 1) | (volume_bytes <= 0), 0.0, out)
+
+
+def _op_order_sum(rows: np.ndarray, count: int) -> np.ndarray:
+    """Row-by-row sum from zero: the scalar ``total += t`` loop, lane-wise.
+
+    Deliberately not ``np.sum``, whose pairwise summation regroups the
+    additions and so changes the rounding.
+    """
+    total = np.zeros(count)
+    for row in rows:
+        total += row
+    return total
 
 
 @register_cache("batch_ep_divisor")
@@ -170,18 +181,6 @@ def _ep_colocated(size: int, limit: int) -> int:
 # ----------------------------------------------------------------------
 # Candidate batches
 # ----------------------------------------------------------------------
-
-#: One fully-specified search candidate, with its bookkeeping indices:
-#: ``rank`` is the parallelization's enumeration rank and ``assign_idx`` the
-#: index of the assignment within ``gpu_assignments`` — the same tie-break
-#: key order the scalar search uses.
-@dataclass(frozen=True)
-class CandidateRow:
-    rank: int
-    config: ParallelConfig
-    assign_idx: int
-    assignment: GpuAssignment
-
 
 @dataclass(frozen=True)
 class BatchBreakdown:
@@ -285,62 +284,103 @@ class _GroupGeometry:
         self._cache[group] = (size, nvs)
         return size, nvs
 
-
-def _comm_time_arr(comms, geometry: _GroupGeometry, network: NetworkSpec, count: int):
-    """Vectorized :func:`repro.core.execution._comm_time` (op-order sum)."""
-    total = np.zeros(count)
-    for comm in comms:
-        if comm.overlapped:
-            continue
-        size, nvs = geometry(comm.group)
-        total = total + _collective_time_arr(
-            comm.collective, comm.volume_bytes, size, nvs, network
-        )
-    return total
+    def rows(self, groups: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-stacked ``(len(groups), C)`` size and co-location arrays."""
+        labels: Dict[str, int] = {}
+        pick = [labels.setdefault(group, len(labels)) for group in groups]
+        placed = [self(group) for group in labels]
+        shape = (len(labels), self._count)
+        size = np.array([s for s, _ in placed], dtype=np.int64).reshape(shape)
+        nvs = np.array([n for _, n in placed], dtype=np.int64).reshape(shape)
+        return size[pick], nvs[pick]
 
 
-def _summa_comm_time_arr(records, geometry: _GroupGeometry, network: NetworkSpec, count: int):
-    """Vectorized :func:`repro.core.execution._summa_comm_time`."""
-    total = np.zeros(count)
-    for act_bytes, act_group, w_bytes, w_group, panel_compute, nb in records:
-        act_size, act_nvs = geometry(act_group)
-        w_size, w_nvs = geometry(w_group)
-        panel_act = _collective_time_arr(
-            "broadcast", act_bytes / nb, act_size, act_nvs, network
-        )
-        panel_w = _collective_time_arr("broadcast", w_bytes / nb, w_size, w_nvs, network)
-        panel_comm = panel_act + panel_w
-        exposed_per_panel = np.maximum(0.0, panel_comm - panel_compute)
-        total = total + (panel_comm + max(0, nb - 1) * exposed_per_panel)
-    return total
+def _tp_comm_arrs(segments, geometry: _GroupGeometry, network: NetworkSpec):
+    """Per-layer exposed TP communication of each ``(comms, summa_records)`` segment.
+
+    Vectorizes :func:`repro.core.execution._comm_time` +
+    :func:`~repro.core.execution._summa_comm_time`.  Every collective of
+    every segment is one row of a single stacked ``(R, C)`` program: per
+    segment, the non-overlapped comm ops, then the SUMMA activation panel
+    broadcasts (``act_bytes / nb``), then the weight panel broadcasts.  The
+    SUMMA prologue + spill-over is one ``(records, C)`` expression, and each
+    segment's total is the op-order sum of its comm rows plus the op-order
+    sum of its SUMMA rows, exactly as the scalar loops add them up.
+    """
+    collectives: List[str] = []
+    volumes: List[float] = []
+    groups: List[str] = []
+    act_rows: List[int] = []
+    w_rows: List[int] = []
+    panel_compute: List[float] = []
+    spill_panels: List[int] = []
+    slices = []  # per segment: (its comm rows, its SUMMA records)
+    for comms, records in segments:
+        exposed = [comm for comm in comms if not comm.overlapped]
+        first_act = len(collectives) + len(exposed)
+        slices.append((
+            slice(len(collectives), first_act),
+            slice(len(panel_compute), len(panel_compute) + len(records)),
+        ))
+        act_rows += range(first_act, first_act + len(records))
+        w_rows += range(first_act + len(records), first_act + 2 * len(records))
+        collectives += [comm.collective for comm in exposed]
+        collectives += ["broadcast"] * (2 * len(records))
+        volumes += [comm.volume_bytes for comm in exposed]
+        groups += [comm.group for comm in exposed]
+        volumes += [rec[0] / rec[5] for rec in records] + [rec[2] / rec[5] for rec in records]
+        groups += [rec[1] for rec in records] + [rec[3] for rec in records]
+        panel_compute += [rec[4] for rec in records]
+        spill_panels += [max(0, rec[5] - 1) for rec in records]
+
+    size, nvs = geometry.rows(groups)
+    times = _collective_time_arr(
+        collectives, np.array(volumes, dtype=np.float64)[:, None], size, nvs, network
+    )
+    count = size.shape[1]
+    totals = [_op_order_sum(times[comm_rows], count) for comm_rows, _ in slices]
+    if not panel_compute:
+        # No SUMMA records: the scalar path adds a 0.0 SUMMA total, a no-op.
+        return totals
+    panel_comm = times[act_rows] + times[w_rows]
+    exposed_per_panel = np.maximum(0.0, panel_comm - np.array(panel_compute)[:, None])
+    summa = panel_comm + np.array(spill_panels)[:, None] * exposed_per_panel
+    return [
+        total + _op_order_sum(summa[record_rows], count)
+        for total, (_, record_rows) in zip(totals, slices)
+    ]
 
 
 def _dp_comm_arrs(
-    params_per_gpu: float,
+    param_sets: Sequence[Tuple[float, str]],
     stage_layers: np.ndarray,
-    sync_group: str,
     zero_stage: int,
     geometry: _GroupGeometry,
     network: NetworkSpec,
 ):
-    """Vectorized DP plan volumes + collective times for one parameter set.
+    """Vectorized DP plan volumes + collective times, summed over parameter sets.
 
     Mirrors :func:`~repro.core.parallelism.data_parallel.data_parallel_plan`
-    plus the pricing loop of ``_assemble_plan``: a group of size 1 has zero
-    volume (and the collective closed form returns 0 for it anyway).
+    plus the pricing loop of ``_assemble_plan`` for each
+    ``(params_per_gpu, sync_group)``: a ReduceScatter of the gradients and
+    an AllGather of the weights, priced as two stacked rows per set (a
+    group of size 1 prices to 0, as its zero plan volume does in the scalar
+    path).  Returns the ``(reduce_scatter, all_gather)`` totals in set order.
     """
-    size, nvs = geometry(sync_group)
-    params = params_per_gpu * stage_layers
-    grad_bytes = GRAD_BYTES_PER_PARAM * params
-    weight_bytes = WEIGHT_BYTES_PER_PARAM * params
-    if zero_stage >= 3:
-        weight_bytes = 2.0 * weight_bytes
-    singleton = size <= 1
-    grad_bytes = np.where(singleton, 0.0, grad_bytes)
-    weight_bytes = np.where(singleton, 0.0, weight_bytes)
-    rs = _collective_time_arr("reduce_scatter", grad_bytes, size, nvs, network)
-    ag = _collective_time_arr("all_gather", weight_bytes, size, nvs, network)
-    return rs, ag
+    volumes, groups = [], []
+    for params_per_gpu, sync_group in param_sets:
+        params = params_per_gpu * stage_layers
+        weight_bytes = WEIGHT_BYTES_PER_PARAM * params
+        if zero_stage >= 3:
+            weight_bytes = 2.0 * weight_bytes
+        volumes += [GRAD_BYTES_PER_PARAM * params, weight_bytes]
+        groups += [sync_group, sync_group]
+    size, nvs = geometry.rows(groups)
+    times = _collective_time_arr(
+        ("reduce_scatter", "all_gather") * len(param_sets), np.array(volumes), size, nvs, network
+    )
+    count = size.shape[1]
+    return _op_order_sum(times[0::2], count), _op_order_sum(times[1::2], count)
 
 
 #: Axes that are constant within one vectorized group: everything the cached
@@ -420,12 +460,11 @@ def _price_group(
     )
 
     # --- per-microbatch, per-stage times (mirrors _assemble_plan) -------
-    fwd_tp_comm = _comm_time_arr(
-        stage.fwd_comms, geometry, network, count
-    ) + _summa_comm_time_arr(stage.fwd_summa, geometry, network, count)
-    bwd_tp_comm = _comm_time_arr(
-        stage.bwd_comms, geometry, network, count
-    ) + _summa_comm_time_arr(stage.bwd_summa, geometry, network, count)
+    fwd_tp_comm, bwd_tp_comm = _tp_comm_arrs(
+        ((stage.fwd_comms, stage.fwd_summa), (stage.bwd_comms, stage.bwd_summa)),
+        geometry,
+        network,
+    )
 
     fwd_compute = stage.fwd_flop * stage_layers
     fwd_memory = stage.fwd_mem_exposed * stage_layers
@@ -465,17 +504,10 @@ def _price_group(
 
     # --- data parallel ---------------------------------------------------
     zero_stage = resolve_zero_stage(options.zero_stage, options.zero_optimizer)
-    rs_total, ag_total = _dp_comm_arrs(
-        workload.params_per_gpu, stage_layers, workload.grad_sync_group,
-        zero_stage, geometry, network,
-    )
+    param_sets = [(workload.params_per_gpu, workload.grad_sync_group)]
     if workload.expert_params_per_gpu > 0:
-        rs_exp, ag_exp = _dp_comm_arrs(
-            workload.expert_params_per_gpu, stage_layers,
-            workload.expert_grad_sync_group, zero_stage, geometry, network,
-        )
-        rs_total = rs_total + rs_exp
-        ag_total = ag_total + ag_exp
+        param_sets.append((workload.expert_params_per_gpu, workload.expert_grad_sync_group))
+    rs_total, ag_total = _dp_comm_arrs(param_sets, stage_layers, zero_stage, geometry, network)
     if options.overlap_dp:
         dp_comm = np.maximum(0.0, rs_total - tb) + np.maximum(0.0, ag_total - tf)
     else:
@@ -589,83 +621,11 @@ def batch_serving_prefill_comm(
         np.fromiter((a.nvs_pp for a in assignments), np.int64, count),
         np.fromiter((a.nvs_dp for a in assignments), np.int64, count),
     )
-    comm = _comm_time_arr(stage.fwd_comms, geometry, system.network, count)
+    (comm,) = _tp_comm_arrs(((stage.fwd_comms, ()),), geometry, system.network)
     _, pp_nvs = geometry(GROUP_PP)
     volume = model.dtype_bytes * prompt_tokens * model.embed_dim
     p2p = _p2p_time_arr(volume, pp_nvs, system.network)
     return comm, np.broadcast_to(p2p, (count,)).astype(np.float64, copy=False)
-
-
-# ----------------------------------------------------------------------
-# Whole-enumeration entry points
-# ----------------------------------------------------------------------
-
-def materialize_enumeration(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    strategy: str,
-    space: SearchSpace,
-    *,
-    check_counts: bool = True,
-) -> List[CandidateRow]:
-    """Materialize every (parallelization, assignment) candidate as rows.
-
-    With ``check_counts`` (the default, active under ``__debug__``), the
-    materialized row count is asserted equal to
-    :func:`~repro.core.config_space.count_configurations`, so the
-    enumeration and the batch pricer can never silently diverge.
-    """
-    rows: List[CandidateRow] = []
-    n_configs = 0
-    for rank, config in enumerate(
-        parallel_configs(model, n_gpus, global_batch_size, strategy, space)
-    ):
-        n_configs += 1
-        for assign_idx, assignment in enumerate(
-            gpu_assignments(config, system.nvs_domain_size, space)
-        ):
-            rows.append(CandidateRow(rank, config, assign_idx, assignment))
-    if check_counts and __debug__:
-        counted_configs, counted_rows = count_configurations(
-            model, n_gpus, global_batch_size, strategy, system.nvs_domain_size, space
-        )
-        assert (n_configs, len(rows)) == (counted_configs, counted_rows), (
-            f"enumeration drifted from count_configurations: materialized "
-            f"({n_configs}, {len(rows)}) != counted ({counted_configs}, {counted_rows})"
-        )
-    return rows
-
-
-def batch_evaluate_enumeration(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    strategy: str,
-    *,
-    space: SearchSpace,
-    options: ModelingOptions = DEFAULT_OPTIONS,
-) -> Tuple[List[CandidateRow], BatchBreakdown]:
-    """Price one strategy's full enumeration; returns (rows, breakdowns).
-
-    Analysis/testing helper: the search itself prices memory-filtered
-    chunks (see :func:`repro.core.search.find_optimal_config`), but the
-    full-enumeration form is what the equivalence suites pin against the
-    scalar oracle.
-    """
-    rows = materialize_enumeration(
-        model, system, n_gpus, global_batch_size, strategy, space
-    )
-    priced = batch_candidate_breakdowns(
-        model,
-        system,
-        [(row.config, row.assignment) for row in rows],
-        global_batch_size=global_batch_size,
-        options=options,
-    )
-    return rows, priced
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,12 @@ from dataclasses import replace
 
 import pytest
 
+from batch_enumeration import batch_evaluate_enumeration, materialize_enumeration
 from repro.core.batch_eval import (
     IncumbentBoard,
     batch_candidate_times,
-    batch_evaluate_enumeration,
     incumbent_scope_keys,
     install_shared_slots,
-    materialize_enumeration,
     validate_eval_mode,
 )
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, count_configurations

@@ -15,11 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backends import DEFAULT_BACKEND, get_backend
-from repro.core.batch_eval import (
-    batch_candidate_breakdowns,
-    batch_serving_prefill_comm,
-    materialize_enumeration,
-)
+from batch_enumeration import materialize_enumeration
+from repro.core.batch_eval import batch_candidate_breakdowns, batch_serving_prefill_comm
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS, evaluate_config
 from repro.core.inference import ServingSpec, _evaluate_serving, evaluate_serving_config
